@@ -280,14 +280,17 @@ func syncDir(dir string) error {
 // index over them. Frames are written (atomically) as they are put; the
 // index becomes visible to readers only on Commit, which is itself
 // atomic, so a database is always observed at a committed boundary.
-// Not safe for concurrent use.
+// Not safe for concurrent use, except Write (see Reserve).
 type Writer struct {
 	dir     string
 	entries []Entry
 	byKey   map[Key]int
-	files   map[string]bool
-	total   int64
-	ledger  *provenance.Ledger
+	// reserved maps keys claimed by Reserve but not yet recorded to
+	// their file names.
+	reserved map[Key]string
+	files    map[string]bool
+	total    int64
+	ledger   *provenance.Ledger
 	// lastRoot is the root of the most recently appended manifest record
 	// (durable or still pending); it dedups pure Commit retries after a
 	// torn manifest append.
@@ -340,7 +343,7 @@ func Create(dir string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{dir: dir, byKey: map[Key]int{}, files: map[string]bool{}, ledger: ledger}, nil
+	return &Writer{dir: dir, byKey: map[Key]int{}, reserved: map[Key]string{}, files: map[string]bool{}, ledger: ledger}, nil
 }
 
 // Dir returns the database directory.
@@ -378,26 +381,84 @@ func sanitize(s string) string {
 // Put stores one encoded frame under key, writing the file atomically,
 // and returns the recorded entry. Duplicate keys are rejected: the axes
 // must address frames uniquely for the query engine to be meaningful.
+// Put is Reserve, Write and Record in one call.
 func (w *Writer) Put(key Key, data []byte) (Entry, error) {
-	if err := key.Validate(); err != nil {
+	r, err := w.Reserve(key)
+	if err != nil {
 		return Entry{}, err
 	}
-	if len(data) == 0 {
-		return Entry{}, fmt.Errorf("cinemastore: empty frame for %+v", key)
+	e, err := w.Write(r, data)
+	if err != nil {
+		w.Release(r)
+		return Entry{}, err
+	}
+	return e, w.Record(e)
+}
+
+// Reservation is a frame slot claimed by Reserve: the key and the file
+// name its bytes will land under.
+type Reservation struct {
+	Key  Key
+	File string
+}
+
+// Reserve claims a slot for key: it validates the key, rejects a key
+// already recorded or reserved, and claims the frame's file name. A
+// pipelined caller reserves in submission order, so file names — and
+// their collision suffixes — are exactly those a serial Put sequence
+// picks. Every reservation ends in Record or Release.
+func (w *Writer) Reserve(key Key) (Reservation, error) {
+	if err := key.Validate(); err != nil {
+		return Reservation{}, err
 	}
 	if i, ok := w.byKey[key]; ok {
-		return Entry{}, fmt.Errorf("cinemastore: duplicate key %+v (already stored as %s)", key, w.entries[i].File)
+		return Reservation{}, fmt.Errorf("cinemastore: duplicate key %+v (already stored as %s)", key, w.entries[i].File)
+	}
+	if f, ok := w.reserved[key]; ok {
+		return Reservation{}, fmt.Errorf("cinemastore: duplicate key %+v (already reserved as %s)", key, f)
 	}
 	name := w.fileName(key)
-	if err := writeFileAtomicNoDirSync(w.dir, name, data); err != nil {
+	w.reserved[key] = name
+	w.files[name] = true
+	return Reservation{Key: key, File: name}, nil
+}
+
+// Write lands data as r's frame file — fsynced temp file, then rename,
+// leaving the directory fsync to Commit — and returns the entry with its
+// SHA-256 content address. Write touches no writer state, so frames
+// reserved on one goroutine may be written concurrently from others.
+func (w *Writer) Write(r Reservation, data []byte) (Entry, error) {
+	if len(data) == 0 {
+		return Entry{}, fmt.Errorf("cinemastore: empty frame for %+v", r.Key)
+	}
+	if err := writeFileAtomicNoDirSync(w.dir, r.File, data); err != nil {
 		return Entry{}, err
 	}
-	e := Entry{Key: key, File: name, Bytes: int64(len(data)), Digest: provenance.Sum(data).Hex()}
-	w.byKey[key] = len(w.entries)
+	return Entry{Key: r.Key, File: r.File, Bytes: int64(len(data)), Digest: provenance.Sum(data).Hex()}, nil
+}
+
+// Record adds a written reservation's entry to the index; the next
+// Commit publishes it.
+func (w *Writer) Record(e Entry) error {
+	if f, ok := w.reserved[e.Key]; !ok || f != e.File {
+		return fmt.Errorf("cinemastore: record %s: no reservation for %+v", e.File, e.Key)
+	}
+	delete(w.reserved, e.Key)
+	w.byKey[e.Key] = len(w.entries)
 	w.entries = append(w.entries, e)
-	w.files[name] = true
 	w.total += e.Bytes
-	return e, nil
+	return nil
+}
+
+// Release gives up a reservation that will not be recorded — its write
+// failed, or an earlier frame's did — freeing its key and file name. A
+// file the write may already have landed stays unreferenced until
+// RepairOpen quarantines it.
+func (w *Writer) Release(r Reservation) {
+	if f, ok := w.reserved[r.Key]; ok && f == r.File {
+		delete(w.reserved, r.Key)
+		delete(w.files, r.File)
+	}
 }
 
 // Adopt records an entry whose frame file was written into the database
@@ -417,6 +478,9 @@ func (w *Writer) Adopt(e Entry) error {
 	}
 	if i, ok := w.byKey[e.Key]; ok {
 		return fmt.Errorf("cinemastore: duplicate key %+v (already stored as %s)", e.Key, w.entries[i].File)
+	}
+	if f, ok := w.reserved[e.Key]; ok {
+		return fmt.Errorf("cinemastore: duplicate key %+v (already reserved as %s)", e.Key, f)
 	}
 	if e.Digest != "" {
 		if _, err := provenance.ParseHex(e.Digest); err != nil {

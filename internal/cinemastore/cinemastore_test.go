@@ -213,6 +213,55 @@ func TestFileNameCollisionsGetSequenced(t *testing.T) {
 	}
 }
 
+func TestReserveWriteRecord(t *testing.T) {
+	w, err := Create(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Reservations claim names in call order, so colliding keys get the
+	// suffixes a serial Put sequence would give them, whatever order the
+	// writes then finish in.
+	a, err := w.Reserve(Key{Time: 1.2, Variable: "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := w.Reserve(Key{Time: 1.4, Variable: "v"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.File != "t000000000001_v.png" || b.File != "t000000000001_v_2.png" {
+		t.Fatalf("reserved %q, %q", a.File, b.File)
+	}
+	if _, err := w.Reserve(a.Key); err == nil {
+		t.Error("key reserved twice")
+	}
+	if err := w.Adopt(Entry{Key: a.Key, File: "x.png", Bytes: 1}); err == nil {
+		t.Error("adopted a reserved key")
+	}
+	eb, err := w.Write(b, []byte("bb"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Record(Entry{Key: a.Key, File: b.File}); err == nil {
+		t.Error("recorded an entry under another reservation's file")
+	}
+	if err := w.Record(eb); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Record(eb); err == nil {
+		t.Error("recorded the same reservation twice")
+	}
+	// A released reservation frees its key and name for the next Reserve.
+	w.Release(a)
+	c, err := w.Reserve(a.Key)
+	if err != nil || c.File != a.File {
+		t.Fatalf("re-reserve after release = %+v, %v", c, err)
+	}
+	if got := w.Entries(); len(got) != 1 || got[0] != eb || w.TotalBytes() != 2 {
+		t.Fatalf("entries %+v, total %d", got, w.TotalBytes())
+	}
+}
+
 func TestOpenLegacyV1Index(t *testing.T) {
 	dir := t.TempDir()
 	legacy := `{

@@ -404,12 +404,18 @@ func TestCIWorkflowIsValid(t *testing.T) {
 
 	// The chaos-smoke job holds the resilience contracts end to end: two
 	// seeded runs complete under injected faults with byte-identical
-	// fault logs and degradation counters, every drop/crash/failover/
+	// fault logs and degradation counters, the committed store does not
+	// depend on GOMAXPROCS (the encoder count), every drop/crash/failover/
 	// retry is accounted in the exposition, energy conservation survives
 	// the degraded timeline, and serving the recovered database leaves
 	// the circuit breaker closed.
-	var chaosRuns, chaosStable, chaosCounts, chaosPool, chaosEnergy, chaosServe, chaosUpload bool
+	var chaosRuns, chaosStable, chaosProcs, chaosCounts, chaosPool, chaosEnergy, chaosServe, chaosUpload bool
 	for _, st := range wf.Jobs["chaos-smoke"].Steps {
+		if strings.Contains(st.Run, "GOMAXPROCS=1 ./liverun-bin") &&
+			strings.Contains(st.Run, "GOMAXPROCS=4 ./liverun-bin") &&
+			strings.Contains(st.Run, "diff -r procs1/cinema procs4/cinema") {
+			chaosProcs = true
+		}
 		if strings.Contains(st.Run, "cmd/liverun") && strings.Contains(st.Run, "-chaos seed=") &&
 			strings.Contains(st.Run, "-faultlog") {
 			chaosRuns = true
@@ -445,9 +451,9 @@ func TestCIWorkflowIsValid(t *testing.T) {
 			}
 		}
 	}
-	if !chaosRuns || !chaosStable || !chaosCounts || !chaosPool || !chaosEnergy || !chaosServe || !chaosUpload {
-		t.Errorf("chaos-smoke coverage: runs=%v stable=%v counts=%v pool=%v energy=%v serve=%v upload=%v",
-			chaosRuns, chaosStable, chaosCounts, chaosPool, chaosEnergy, chaosServe, chaosUpload)
+	if !chaosRuns || !chaosStable || !chaosProcs || !chaosCounts || !chaosPool || !chaosEnergy || !chaosServe || !chaosUpload {
+		t.Errorf("chaos-smoke coverage: runs=%v stable=%v procs=%v counts=%v pool=%v energy=%v serve=%v upload=%v",
+			chaosRuns, chaosStable, chaosProcs, chaosCounts, chaosPool, chaosEnergy, chaosServe, chaosUpload)
 	}
 
 	// The model-smoke job holds the observability contracts end to end:

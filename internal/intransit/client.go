@@ -370,10 +370,10 @@ func (c *Client) deriveTables(simTime float64, field []float64) error {
 	if err != nil {
 		return err
 	}
+	// Borrow the field instead of AddField's copy: datasets treat field
+	// slices as read-only, and the mask is built before this returns.
 	fieldName := c.opts.Config.Fields[0]
-	if err := ds.AddField(fieldName, field); err != nil {
-		return err
-	}
+	ds.Fields[fieldName] = field
 	chain := &vizpipe.Pipeline{}
 	if err := chain.Append(&vizpipe.Threshold{
 		Field: fieldName, Min: math.Inf(-1), Max: th,

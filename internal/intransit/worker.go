@@ -205,6 +205,13 @@ func (w *Worker) Close() error {
 	}
 	w.mu.Unlock()
 	w.wg.Wait()
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.st != nil {
+		// Every sample flushed before its ack, so a write error has
+		// already failed that sample; Close only stops the encoders.
+		_ = w.st.pw.Close()
+	}
 	return err
 }
 
@@ -218,6 +225,7 @@ type workerState struct {
 	masks       [][]bool
 	cells       [][]int
 	db          *render.CinemaDB
+	pw          *render.PipelinedCinemaWriter
 	setRenderer *render.ImageSetRenderer
 	viewCams    []render.Camera
 	partials    []*image.RGBA
@@ -269,6 +277,7 @@ func newWorkerState(rc RunConfig, wc WorkerConfig) (*workerState, error) {
 		st.partials[i] = rast.NewFrame()
 	}
 	st.composited = rast.NewFrame()
+	st.pw = render.NewPipelinedCinemaWriter(st.db)
 	return st, nil
 }
 
@@ -277,43 +286,53 @@ func newWorkerState(rc RunConfig, wc WorkerConfig) (*workerState, error) {
 // from the render-exact tables the client shipped: the per-cell color
 // LUT the in-process renderer would derive, and (when core is non-nil)
 // the eddy-core selection mask. The frame bytes it produces are
-// identical to an inproc run's by construction.
+// identical to an inproc run's by construction. The frames go through
+// the same concurrent encode stage, flushed before the ack.
 func (st *workerState) renderSample(simTime float64, colors []color.RGBA, core []bool) (sampleAckMsg, error) {
 	var ack sampleAckMsg
+	err := st.submitSample(simTime, colors, core)
+	entries, ferr := st.pw.Flush()
+	if err == nil {
+		err = ferr
+	}
+	if err != nil {
+		return ack, err
+	}
+	ack.Entries = append([]cinemastore.Entry(nil), entries...)
+	ack.Frames = len(entries)
+	for _, e := range entries {
+		ack.Bytes += e.Bytes
+	}
+	return ack, nil
+}
+
+// submitSample renders one sample's frames and submits them to the
+// encode stage in the in-process submission order.
+func (st *workerState) submitSample(simTime float64, colors []color.RGBA, core []bool) error {
 	for i, mask := range st.masks {
 		if err := st.rast.RenderColorsOwnedInto(st.partials[i], colors, mask); err != nil {
-			return ack, err
+			return err
 		}
 	}
 	if err := render.CompositeInto(st.composited, st.partials); err != nil {
-		return ack, err
+		return err
 	}
 	if !render.FullyOpaque(st.composited) {
-		return ack, fmt.Errorf("intransit: composited image has holes")
+		return fmt.Errorf("intransit: composited image has holes")
 	}
 	fieldName := st.cfg.Fields[0]
-	store := func(img *image.RGBA, phi, theta float64, variable string) error {
-		e, err := st.db.AddImageEntry(img, simTime, phi, theta, variable)
-		if err != nil {
-			return err
-		}
-		ack.Entries = append(ack.Entries, e)
-		ack.Frames++
-		ack.Bytes += e.Bytes
-		return nil
-	}
-	if err := store(st.composited, 0, 0, fieldName); err != nil {
-		return ack, err
+	if err := st.pw.Submit(st.composited, simTime, 0, 0, fieldName); err != nil {
+		return err
 	}
 	if st.setRenderer != nil {
 		views, err := st.setRenderer.RenderColorsFrames(colors)
 		if err != nil {
-			return ack, err
+			return err
 		}
 		for v, img := range views {
-			if err := store(img, st.viewCams[v].Lon, st.viewCams[v].Lat,
+			if err := st.pw.Submit(img, simTime, st.viewCams[v].Lon, st.viewCams[v].Lat,
 				fmt.Sprintf("%s_view%d", fieldName, v)); err != nil {
-				return ack, err
+				return err
 			}
 		}
 	}
@@ -322,14 +341,14 @@ func (st *workerState) renderSample(simTime float64, colors []color.RGBA, core [
 			st.coreFrame = st.rast.NewFrame()
 		}
 		if err := st.rast.RenderColorsOwnedInto(st.coreFrame, colors, core); err != nil {
-			return ack, err
+			return err
 		}
 		render.FillTransparent(st.coreFrame, render.Background)
-		if err := store(st.coreFrame, 0, 0, fieldName+"_cores"); err != nil {
-			return ack, err
+		if err := st.pw.Submit(st.coreFrame, simTime, 0, 0, fieldName+"_cores"); err != nil {
+			return err
 		}
 	}
-	return ack, nil
+	return nil
 }
 
 // handleSample renders (or re-acks) one complete sample under the worker

@@ -142,39 +142,43 @@ func (db *CinemaDB) AddImage(img image.Image, simTime float64, field string) (un
 // entry becomes visible to readers at the next WriteIndex. Duplicate axis
 // tuples are rejected.
 func (db *CinemaDB) AddImageAt(img image.Image, simTime, phi, theta float64, field string) (units.Bytes, error) {
-	e, err := db.AddImageEntry(img, simTime, phi, theta, field)
-	if err != nil {
-		return 0, err
-	}
-	return units.Bytes(e.Bytes), nil
-}
-
-// AddImageEntry is AddImageAt returning the full store entry — the
-// in-transit workers ship these records back to the sim so it can adopt
-// them into its own index.
-func (db *CinemaDB) AddImageEntry(img image.Image, simTime, phi, theta float64, field string) (cinemastore.Entry, error) {
 	if img == nil {
-		return cinemastore.Entry{}, fmt.Errorf("render: nil image")
+		return 0, fmt.Errorf("render: nil image")
 	}
 	if field == "" {
-		return cinemastore.Entry{}, fmt.Errorf("render: empty field name")
+		return 0, fmt.Errorf("render: empty field name")
 	}
 	// The encoder's buffer is reused frame to frame; the bytes are written
 	// to disk before the next Encode, so no copy is needed.
 	data, err := db.enc.Encode(img)
 	if err != nil {
-		return cinemastore.Entry{}, err
+		return 0, err
 	}
 	key := cinemastore.Key{Time: simTime, Phi: phi, Theta: theta, Variable: field}
 	e, err := db.w.Put(key, data)
 	if err != nil {
-		return cinemastore.Entry{}, fmt.Errorf("render: write image: %w", err)
+		return 0, fmt.Errorf("render: write image: %w", err)
 	}
+	db.account(e)
+	return units.Bytes(e.Bytes), nil
+}
+
+// record folds a frame the pipelined writer reserved and wrote into the
+// index.
+func (db *CinemaDB) record(e cinemastore.Entry) error {
+	if err := db.w.Record(e); err != nil {
+		return fmt.Errorf("render: %w", err)
+	}
+	db.account(e)
+	return nil
+}
+
+// account counts a stored frame in the totals and metrics.
+func (db *CinemaDB) account(e cinemastore.Entry) {
 	db.total += units.Bytes(e.Bytes)
 	db.mFrames.Inc()
 	db.mBytes.Add(e.Bytes)
 	db.mFrameBytes.Observe(float64(e.Bytes))
-	return e, nil
 }
 
 // Adopt folds a frame entry written by another process (an in-transit
@@ -184,10 +188,7 @@ func (db *CinemaDB) Adopt(e cinemastore.Entry) error {
 	if err := db.w.Adopt(e); err != nil {
 		return fmt.Errorf("render: %w", err)
 	}
-	db.total += units.Bytes(e.Bytes)
-	db.mFrames.Inc()
-	db.mBytes.Add(e.Bytes)
-	db.mFrameBytes.Observe(float64(e.Bytes))
+	db.account(e)
 	return nil
 }
 

@@ -3,115 +3,131 @@ package render
 import (
 	"fmt"
 	"image"
+	"runtime"
 	"sync"
 
-	"insituviz/internal/units"
+	"insituviz/internal/cinemastore"
 )
 
-// pipeJob is one unit of encoder work: a staged frame plus its axis tuple,
-// or a flush barrier when ack is non-nil.
+// pipeJob is one submitted frame: its staged copy, its store reservation,
+// and — once an encoder goroutine has written it — the entry or error.
 type pipeJob struct {
 	frame *image.RGBA
-	time  float64
-	phi   float64
-	theta float64
-	field string
-	ack   chan pipeTotals
+	res   cinemastore.Reservation
+	entry cinemastore.Entry
+	err   error
 }
 
-// pipeTotals is the accounting the encoder hands back at a flush barrier:
-// what it wrote since the previous barrier, and the first error it hit.
-type pipeTotals struct {
-	frames int
-	bytes  units.Bytes
-	err    error
-}
-
-// PipelinedCinemaWriter overlaps PNG encoding and store writes with the
-// caller's next render. Submit copies the frame into an owned staging
-// buffer and returns as soon as the copy lands in the bounded queue; a
-// single encoder goroutine drains the queue in submission order through
-// CinemaDB.AddImageAt, so the store sees exactly the sequential write
-// pattern it would from a serial caller. Flush is the accounting barrier:
-// it waits for the queue to drain and returns the frames and bytes written
-// since the previous barrier, plus the first write error (later frames
-// after an error are dropped, not written).
+// PipelinedCinemaWriter takes PNG encoding and store writes off the
+// caller's goroutine. Submit reserves the frame's slot in the store in
+// submission order, copies the frame into an owned staging buffer and
+// queues it; up to GOMAXPROCS encoder goroutines encode and write queued
+// frames concurrently. Flush is the barrier: it waits for every submitted
+// frame and records the written entries into the index in submission
+// order. Entries, file names, the index and every frame byte are exactly
+// what the same sequence of CinemaDB.AddImageAt calls produces.
 //
-// One goroutine may Submit at a time, and the underlying CinemaDB must not
-// be used directly between a Submit and the next Flush — the encoder
-// goroutine owns it in that window. Close releases the goroutine and is
-// safe to call more than once and after errors; a final implicit barrier
-// surfaces any error not yet collected by Flush.
+// Errors are sticky and surface at Flush in submission order: the first
+// failed frame's error is returned, and no frame submitted after it is
+// recorded — later frames still in flight may land on disk, unreferenced,
+// for RepairOpen to quarantine. Submits after a failure are dropped.
+//
+// One goroutine submits and flushes. It may use the CinemaDB directly
+// between them; only the frame writes run elsewhere. Close flushes, stops
+// the encoders, and is safe to call more than once.
 type PipelinedCinemaWriter struct {
-	db   *CinemaDB
-	jobs chan pipeJob
-	free chan *image.RGBA
-	done chan struct{}
+	db      *CinemaDB
+	jobs    chan *pipeJob
+	pending sync.WaitGroup // submitted frames not yet written
+	workers sync.WaitGroup
 
-	closeOnce sync.Once
-	closeErr  error
+	// Submitter-owned state.
+	batch    []*pipeJob // submitted since the last Flush, in order
+	spare    []*pipeJob
+	entries  []cinemastore.Entry
+	rejected bool  // a Reserve in this batch failed; drop until Flush
+	err      error // first error, sticky
+
+	// Staging frames and PNG encoders, recycled by the encoder
+	// goroutines. An encoder holds ~0.94 MB of stdlib state, almost all
+	// of it flate hash tables; the list fills lazily, so it holds as many
+	// encoders as ever ran at once, and it dies with the writer.
+	mu   sync.Mutex
+	free []*image.RGBA
+	encs []*PNGEncoder
+
+	closed   bool
+	closeErr error
 }
 
-// NewPipelinedCinemaWriter wraps db with an asynchronous encode stage whose
-// queue holds up to depth staged frames (a non-positive depth selects a
-// small default). Memory cost is roughly depth+1 frames of staging.
-func NewPipelinedCinemaWriter(db *CinemaDB, depth int) *PipelinedCinemaWriter {
-	if depth < 1 {
-		depth = 2
+// NewPipelinedCinemaWriter wraps db with a concurrent encode+write stage
+// of runtime.GOMAXPROCS(0) encoder goroutines.
+func NewPipelinedCinemaWriter(db *CinemaDB) *PipelinedCinemaWriter {
+	n := runtime.GOMAXPROCS(0)
+	// The queue holds a whole live sample — the map, up to six ortho views
+	// and the eddy-core frame — so submitting one never waits on encoders.
+	w := &PipelinedCinemaWriter{db: db, jobs: make(chan *pipeJob, 8)}
+	w.workers.Add(n)
+	for i := 0; i < n; i++ {
+		go w.encode()
 	}
-	w := &PipelinedCinemaWriter{
-		db:   db,
-		jobs: make(chan pipeJob, depth),
-		free: make(chan *image.RGBA, depth+1),
-		done: make(chan struct{}),
-	}
-	go w.run()
 	return w
 }
 
-func (w *PipelinedCinemaWriter) run() {
-	defer close(w.done)
-	var t pipeTotals
+func (w *PipelinedCinemaWriter) encode() {
+	defer w.workers.Done()
 	for j := range w.jobs {
-		if j.ack != nil {
-			j.ack <- t
-			// Counters restart at the barrier; the error stays sticky so a
-			// Close after a failed Flush reports it again rather than
-			// pretending the tail of the run was clean.
-			t.frames, t.bytes = 0, 0
-			continue
+		var enc *PNGEncoder
+		w.mu.Lock()
+		if n := len(w.encs); n > 0 {
+			enc = w.encs[n-1]
+			w.encs = w.encs[:n-1]
 		}
-		if t.err != nil {
-			// The pipeline is poisoned: recycle and drop so Flush surfaces
-			// the first error instead of a cascade of follow-on failures.
-			w.recycle(j.frame)
-			continue
+		w.mu.Unlock()
+		if enc == nil {
+			enc = new(PNGEncoder)
 		}
-		n, err := w.db.AddImageAt(j.frame, j.time, j.phi, j.theta, j.field)
-		w.recycle(j.frame)
-		if err != nil {
-			t.err = err
-			continue
+		data, err := enc.Encode(j.frame)
+		if err == nil {
+			if j.entry, err = w.db.w.Write(j.res, data); err != nil {
+				err = fmt.Errorf("render: write image: %w", err)
+			}
 		}
-		t.frames++
-		t.bytes += n
+		j.err = err
+		w.mu.Lock()
+		w.free = append(w.free, j.frame)
+		w.encs = append(w.encs, enc)
+		w.mu.Unlock()
+		j.frame = nil
+		w.pending.Done()
 	}
 }
 
-// recycle returns a staging frame to the free list, dropping it when the
-// list is full (the next Submit just allocates).
-func (w *PipelinedCinemaWriter) recycle(f *image.RGBA) {
-	select {
-	case w.free <- f:
-	default:
+// stage copies img into a free staging frame of the same geometry, or a
+// new one. The encoders recycle every frame they finish, so the steady
+// state allocates nothing.
+func (w *PipelinedCinemaWriter) stage(img *image.RGBA) *image.RGBA {
+	var dst *image.RGBA
+	w.mu.Lock()
+	for i, f := range w.free {
+		if f.Rect == img.Rect {
+			dst = f
+			last := len(w.free) - 1
+			w.free[i] = w.free[last]
+			w.free[last] = nil
+			w.free = w.free[:last]
+			break
+		}
 	}
+	w.mu.Unlock()
+	return stageFrame(dst, img)
 }
 
-// stageFrame copies src into dst, reallocating when the geometry differs.
-// Frames from NewFrame share the exact layout of their staging copies, so
-// the steady state is one bulk copy with no allocation.
+// stageFrame copies src into dst, allocating when dst is nil or its
+// bounds differ. Frames from NewFrame share the exact layout of their
+// staging copies, so the common case is one bulk copy.
 func stageFrame(dst, src *image.RGBA) *image.RGBA {
-	if dst == nil || dst.Rect != src.Rect || dst.Stride != src.Stride || len(dst.Pix) != len(src.Pix) {
+	if dst == nil || dst.Rect != src.Rect {
 		dst = image.NewRGBA(src.Rect)
 	}
 	if dst.Stride == src.Stride && len(dst.Pix) == len(src.Pix) {
@@ -126,10 +142,11 @@ func stageFrame(dst, src *image.RGBA) *image.RGBA {
 	return dst
 }
 
-// Submit stages img for encoding under the full Cinema axis tuple and
-// returns once the copy is queued — the caller may immediately rerender
-// into img. Blocks only when the queue is full (encoder behind by depth
-// frames). Write errors surface at the next Flush, in submission order.
+// Submit reserves the frame's slot under the full Cinema axis tuple,
+// stages a copy of img and queues it — the caller may immediately
+// rerender into img. It blocks only when the queue is full. A rejected
+// key (a duplicate, even of a frame still in flight) and write errors
+// surface at the next Flush, in submission order.
 func (w *PipelinedCinemaWriter) Submit(img *image.RGBA, simTime, phi, theta float64, field string) error {
 	if img == nil {
 		return fmt.Errorf("render: nil image")
@@ -137,38 +154,65 @@ func (w *PipelinedCinemaWriter) Submit(img *image.RGBA, simTime, phi, theta floa
 	if field == "" {
 		return fmt.Errorf("render: empty field name")
 	}
-	var st *image.RGBA
-	select {
-	case st = <-w.free:
-	default:
+	if w.err != nil || w.rejected {
+		return nil
 	}
-	st = stageFrame(st, img)
-	w.jobs <- pipeJob{frame: st, time: simTime, phi: phi, theta: theta, field: field}
+	var j *pipeJob
+	if n := len(w.spare); n > 0 {
+		j = w.spare[n-1]
+		w.spare = w.spare[:n-1]
+	} else {
+		j = new(pipeJob)
+	}
+	w.batch = append(w.batch, j)
+	res, err := w.db.w.Reserve(cinemastore.Key{Time: simTime, Phi: phi, Theta: theta, Variable: field})
+	if err != nil {
+		j.err = fmt.Errorf("render: write image: %w", err)
+		w.rejected = true
+		return nil
+	}
+	j.res = res
+	j.frame = w.stage(img)
+	w.pending.Add(1)
+	w.jobs <- j
 	return nil
 }
 
-// Flush waits for every submitted frame to be encoded and written, then
-// returns the frame count and byte total since the previous Flush and the
-// first error encountered. After an error the skipped frames are not
-// retried; the caller decides whether to abort or keep sampling.
-func (w *PipelinedCinemaWriter) Flush() (int, units.Bytes, error) {
-	ack := make(chan pipeTotals, 1)
-	w.jobs <- pipeJob{ack: ack}
-	t := <-ack
-	return t.frames, t.bytes, t.err
+// Flush waits for every submitted frame to be written, records them in
+// submission order, and returns the recorded entries — valid until the
+// next Flush — with the first error. After an error nothing more is
+// recorded; the caller decides whether to abort or keep sampling.
+func (w *PipelinedCinemaWriter) Flush() ([]cinemastore.Entry, error) {
+	w.pending.Wait()
+	w.entries = w.entries[:0]
+	for _, j := range w.batch {
+		if w.err == nil && j.err != nil {
+			w.err = j.err
+		}
+		if w.err == nil {
+			w.err = w.db.record(j.entry)
+		}
+		if w.err == nil {
+			w.entries = append(w.entries, j.entry)
+		} else {
+			w.db.w.Release(j.res)
+		}
+		*j = pipeJob{}
+		w.spare = append(w.spare, j)
+	}
+	w.batch = w.batch[:0]
+	w.rejected = false
+	return w.entries, w.err
 }
 
-// Close drains the queue, stops the encoder goroutine, and returns any
-// error not yet collected by a Flush. Idempotent; later calls return the
-// first result.
+// Close flushes, stops the encoder goroutines, and returns the sticky
+// error, if any. Idempotent; later calls return the first result.
 func (w *PipelinedCinemaWriter) Close() error {
-	w.closeOnce.Do(func() {
-		ack := make(chan pipeTotals, 1)
-		w.jobs <- pipeJob{ack: ack}
-		t := <-ack
+	if !w.closed {
+		w.closed = true
+		_, w.closeErr = w.Flush()
 		close(w.jobs)
-		<-w.done
-		w.closeErr = t.err
-	})
+		w.workers.Wait()
+	}
 	return w.closeErr
 }

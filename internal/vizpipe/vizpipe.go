@@ -17,7 +17,10 @@ import (
 
 // Dataset is a snapshot of named cell-centered fields on a mesh, with an
 // optional activity mask produced by selection filters. A nil mask means
-// every cell is active.
+// every cell is active. Field slices and the mask are read-only once
+// attached: a filter's output shares them with its input, the way VTK
+// filters pass arrays by reference, and derives new slices for what it
+// changes.
 type Dataset struct {
 	Mesh   *mesh.Mesh
 	Time   float64 // simulated seconds
@@ -73,14 +76,13 @@ func (ds *Dataset) ActiveCount() int {
 	return n
 }
 
-// clone returns a shallow-mesh, deep-field copy for filters to mutate.
+// clone returns a copy for a filter to derive its output from: its own
+// field map, sharing the read-only field slices and mask.
 func (ds *Dataset) clone() *Dataset {
-	out := &Dataset{Mesh: ds.Mesh, Time: ds.Time, Fields: map[string][]float64{}}
+	out := &Dataset{Mesh: ds.Mesh, Time: ds.Time, Mask: ds.Mask,
+		Fields: make(map[string][]float64, len(ds.Fields)+1)}
 	for k, v := range ds.Fields {
-		out.Fields[k] = append([]float64(nil), v...)
-	}
-	if ds.Mask != nil {
-		out.Mask = append([]bool(nil), ds.Mask...)
+		out.Fields[k] = v
 	}
 	return out
 }

@@ -266,4 +266,9 @@ func TestOkuboWeissStylePipeline(t *testing.T) {
 			t.Fatalf("cell %d: selection wrong", ci)
 		}
 	}
+	// The chain shares the input's field slices but never changes the
+	// input: no derived field in its map, no mask.
+	if _, err := ds.Field("w_sign"); err == nil || ds.Mask != nil {
+		t.Error("Execute changed its input")
+	}
 }

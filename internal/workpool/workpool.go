@@ -384,8 +384,11 @@ func (p *pool) wake(depth int64, k int) {
 	}
 }
 
-// normChunks clamps a requested chunk count to [1, n], or 0 for an empty
-// loop.
+// normChunks returns how many chunks a loop over n indices runs as when
+// split into the requested count clamped to [1, n], or 0 for an empty
+// loop. Chunks of ceil(n/chunks) indices can cover n in fewer pieces than
+// asked (n=10, chunks=6: five chunks of 2), and the completion barrier
+// must count the pieces actually published.
 func normChunks(n, chunks int) int {
 	if n <= 0 {
 		return 0
@@ -396,7 +399,8 @@ func normChunks(n, chunks int) int {
 	if chunks < 1 {
 		chunks = 1
 	}
-	return chunks
+	size := (n + chunks - 1) / chunks
+	return (n + size - 1) / size
 }
 
 // Run executes fn over [0, n) split into `chunks` contiguous chunks and

@@ -12,16 +12,21 @@ import (
 )
 
 func TestRunCoversRangeExactlyOnce(t *testing.T) {
-	for _, chunks := range []int{1, 2, 3, 4, 7, 16, 100} {
-		hits := make([]int32, 10000)
-		Run(len(hits), chunks, func(lo, hi int) {
+	// n=10 split 6 ways runs as five chunks of 2: the barrier must wait
+	// for five, not six.
+	for _, c := range []struct{ n, chunks int }{
+		{10000, 1}, {10000, 2}, {10000, 3}, {10000, 4}, {10000, 7}, {10000, 16}, {10000, 100},
+		{10, 6}, {40, 16},
+	} {
+		hits := make([]int32, c.n)
+		Run(len(hits), c.chunks, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				atomic.AddInt32(&hits[i], 1)
 			}
 		})
 		for i := range hits {
 			if hits[i] != 1 {
-				t.Fatalf("chunks=%d: index %d visited %d times", chunks, i, hits[i])
+				t.Fatalf("n=%d chunks=%d: index %d visited %d times", c.n, c.chunks, i, hits[i])
 			}
 		}
 	}

@@ -385,11 +385,12 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		return nil, fmt.Errorf("insituviz: unknown transport %q (want inproc or tcp)", cfg.Transport)
 	}
 
-	// The encode+store stage runs behind the renders: Submit stages a copy
-	// and the encoder goroutine drains in order, so each frame's PNG encode
-	// overlaps the next frame's rasterization. Every sample flushes before
-	// returning, which is when the frame/byte accounting lands.
-	pw := render.NewPipelinedCinemaWriter(db, 4)
+	// The encode+store stage runs behind the renders: Submit reserves the
+	// frame's slot and stages a copy, and the encoder goroutines encode and
+	// write concurrently. A sample's frames are settled — flushed into the
+	// index and accounted — at the start of the next sample, so their
+	// encodes overlap the solver steps in between.
+	pw := render.NewPipelinedCinemaWriter(db)
 	defer pw.Close()
 
 	res := &LiveResult{OutputDir: cfg.OutputDir}
@@ -471,6 +472,42 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		return i
 	}
 
+	// settle completes the previous sample's visualization: it waits for
+	// its frames, accounts them, and feeds the live model. It runs at the
+	// start of the next sample and before the encode stage closes, so a
+	// write error surfaces there.
+	settlePending, settleTime := false, 0.0
+	settle := func() error {
+		if !settlePending {
+			return nil
+		}
+		settlePending = false
+		drv.Begin("viz.settle")
+		entries, err := pw.Flush()
+		drv.End()
+		if err != nil {
+			return err
+		}
+		var bytes int64
+		for _, e := range entries {
+			bytes += e.Bytes
+		}
+		res.Images += len(entries)
+		res.ImageBytes += Bytes(bytes)
+		if cfg.Model != nil {
+			var ioStall float64
+			if f, ok := ioSite.Next(); ok && f.Kind == faults.KindStall {
+				ioStall = float64(f.Stall)
+			}
+			obs := costRef.Observation(settleTime-lastModelSim,
+				float64(bytes)/1e9, float64(len(entries)), ioStall, 0)
+			obs.TS = float64(cfg.Tracer.Now()) / 1e9
+			lastModelSim = settleTime
+			cfg.Model.Observe(obs)
+		}
+		return nil
+	}
+
 	// dropSample is the graceful-degradation path shared by a blown viz
 	// deadline and an exhausted in-transit worker ring: the sample's
 	// frames are dropped and accounted — recorded as a "degraded" phase
@@ -535,6 +572,9 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 	visualize := func(simTime float64, field, cellVort []float64) error {
 		tm := sampleSpan.Start()
 		defer tm.End()
+		if err := settle(); err != nil {
+			return err
+		}
 		// Deadline check first: an injected stall at or beyond the budget
 		// means this sample's visualization would not finish in time. The
 		// degraded path drops the sample's frames — recorded as a
@@ -668,9 +708,10 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 			if err != nil {
 				return err
 			}
-			if err := ds.AddField("okubo_weiss", field); err != nil {
-				return err
-			}
+			// Borrow the field instead of AddField's copy: datasets
+			// treat field slices as read-only, and the selection is
+			// used before the solver writes the field again.
+			ds.Fields["okubo_weiss"] = field
 			chain := &vizpipe.Pipeline{}
 			if err := chain.Append(&vizpipe.Threshold{
 				Field: "okubo_weiss", Min: math.Inf(-1), Max: th,
@@ -692,27 +733,10 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 				return err
 			}
 		}
-		// Per-sample accounting barrier: wait for the encoder to finish this
-		// sample's frames so Images/ImageBytes count only committed frames
-		// and a write failure aborts at the sample that caused it.
-		frames, bytes, err := pw.Flush()
-		if err != nil {
-			return err
-		}
-		res.Images += frames
-		res.ImageBytes += Bytes(bytes)
+		// The frames settle at the next sample; detection results do not
+		// wait for them.
+		settlePending, settleTime = true, simTime
 		res.EddiesPerSample = append(res.EddiesPerSample, len(eddies))
-		if cfg.Model != nil {
-			var ioStall float64
-			if f, ok := ioSite.Next(); ok && f.Kind == faults.KindStall {
-				ioStall = float64(f.Stall)
-			}
-			obs := costRef.Observation(simTime-lastModelSim,
-				float64(bytes)/1e9, float64(frames), ioStall, 0)
-			obs.TS = float64(cfg.Tracer.Now()) / 1e9
-			lastModelSim = simTime
-			cfg.Model.Observe(obs)
-		}
 		return tracker.Advance(simTime, eddies)
 	}
 
@@ -731,9 +755,11 @@ func LiveRun(cfg LiveConfig) (*LiveResult, error) {
 		return nil, fmt.Errorf("insituviz: unknown mode %v", cfg.Mode)
 	}
 
-	// Release the encode stage before committing the index: Close drains
-	// the queue and surfaces any write error a sampling path did not live
-	// to collect.
+	// Settle the last sample and release the encode stage before
+	// committing the index.
+	if err := settle(); err != nil {
+		return nil, err
+	}
 	if err := pw.Close(); err != nil {
 		return nil, err
 	}
