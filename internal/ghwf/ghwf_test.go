@@ -408,13 +408,23 @@ func TestCIWorkflowIsValid(t *testing.T) {
 	// depend on GOMAXPROCS (the encoder count), every drop/crash/failover/
 	// retry is accounted in the exposition, energy conservation survives
 	// the degraded timeline, and serving the recovered database leaves
-	// the circuit breaker closed.
-	var chaosRuns, chaosStable, chaosProcs, chaosCounts, chaosPool, chaosEnergy, chaosServe, chaosUpload bool
+	// the circuit breaker closed. A 10242-cell post run, serial and on
+	// four workers, pins the solver's worker-count determinism at a mesh
+	// large enough for its loops to fan out.
+	var chaosRuns, chaosStable, chaosProcs, chaosSolve, chaosCounts, chaosPool, chaosEnergy, chaosServe, chaosUpload bool
 	for _, st := range wf.Jobs["chaos-smoke"].Steps {
 		if strings.Contains(st.Run, "GOMAXPROCS=1 ./liverun-bin") &&
 			strings.Contains(st.Run, "GOMAXPROCS=4 ./liverun-bin") &&
 			strings.Contains(st.Run, "diff -r procs1/cinema procs4/cinema") {
 			chaosProcs = true
+		}
+		if strings.Count(st.Run, "GOMAXPROCS=4 ./liverun-bin -mode post") == 2 &&
+			strings.Count(st.Run, "-subdivisions 5") == 2 &&
+			strings.Contains(st.Run, "-workers -1 -out solve-serial") &&
+			strings.Contains(st.Run, "-workers 4 -out solve-pooled") &&
+			strings.Contains(st.Run, "diff -r solve-serial/raw solve-pooled/raw") &&
+			strings.Contains(st.Run, "diff -r solve-serial/cinema solve-pooled/cinema") {
+			chaosSolve = true
 		}
 		if strings.Contains(st.Run, "cmd/liverun") && strings.Contains(st.Run, "-chaos seed=") &&
 			strings.Contains(st.Run, "-faultlog") {
@@ -451,9 +461,9 @@ func TestCIWorkflowIsValid(t *testing.T) {
 			}
 		}
 	}
-	if !chaosRuns || !chaosStable || !chaosProcs || !chaosCounts || !chaosPool || !chaosEnergy || !chaosServe || !chaosUpload {
-		t.Errorf("chaos-smoke coverage: runs=%v stable=%v procs=%v counts=%v pool=%v energy=%v serve=%v upload=%v",
-			chaosRuns, chaosStable, chaosProcs, chaosCounts, chaosPool, chaosEnergy, chaosServe, chaosUpload)
+	if !chaosRuns || !chaosStable || !chaosProcs || !chaosSolve || !chaosCounts || !chaosPool || !chaosEnergy || !chaosServe || !chaosUpload {
+		t.Errorf("chaos-smoke coverage: runs=%v stable=%v procs=%v solve=%v counts=%v pool=%v energy=%v serve=%v upload=%v",
+			chaosRuns, chaosStable, chaosProcs, chaosSolve, chaosCounts, chaosPool, chaosEnergy, chaosServe, chaosUpload)
 	}
 
 	// The model-smoke job holds the observability contracts end to end:

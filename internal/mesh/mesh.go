@@ -214,7 +214,9 @@ func (m *Mesh) buildFromTriangulation(pts []Vec3, tris [][3]int) error {
 		}
 		return ekey{a, b}
 	}
-	m.Edges = m.Edges[:0]
+	// On a closed surface every triangle edge is shared by two triangles,
+	// so there are exactly nv*3/2 edges.
+	m.Edges = make([]Edge, 0, nv*3/2)
 	for vi, t := range tris {
 		for k := 0; k < 3; k++ {
 			a, b := t[k], t[(k+1)%3]
@@ -270,6 +272,7 @@ func (m *Mesh) buildFromTriangulation(pts []Vec3, tris [][3]int) error {
 		}
 	}
 	m.Cells = make([]Cell, nc)
+	var keyed []angleKeyed // sort scratch, reused across cells
 	for ci := 0; ci < nc; ci++ {
 		center := pts[ci]
 		lat, lon := center.LatLon()
@@ -281,14 +284,16 @@ func (m *Mesh) buildFromTriangulation(pts []Vec3, tris [][3]int) error {
 			return math.Atan2(d.Dot(north), d.Dot(east))
 		}
 
-		edges := append([]int(nil), cellEdges[ci]...)
-		sort.Slice(edges, func(i, j int) bool {
-			return angleOf(m.Edges[edges[i]].Midpoint) < angleOf(m.Edges[edges[j]].Midpoint)
-		})
-		verts := append([]int(nil), cellVerts[ci]...)
-		sort.Slice(verts, func(i, j int) bool {
-			return angleOf(m.Vertices[verts[i]].Pos) < angleOf(m.Vertices[verts[j]].Pos)
-		})
+		keyed = keyed[:0]
+		for _, ei := range cellEdges[ci] {
+			keyed = append(keyed, angleKeyed{angleOf(m.Edges[ei].Midpoint), ei})
+		}
+		edges := sortByAngle(keyed)
+		keyed = keyed[:0]
+		for _, vi := range cellVerts[ci] {
+			keyed = append(keyed, angleKeyed{angleOf(m.Vertices[vi].Pos), vi})
+		}
+		verts := sortByAngle(keyed)
 		if len(edges) != len(verts) {
 			return fmt.Errorf("mesh: cell %d has %d edges but %d vertices", ci, len(edges), len(verts))
 		}
@@ -346,6 +351,24 @@ func (m *Mesh) buildFromTriangulation(pts []Vec3, tris [][3]int) error {
 		}
 	}
 	return nil
+}
+
+// angleKeyed is an index with its precomputed counterclockwise angle
+// around a cell center.
+type angleKeyed struct {
+	angle float64
+	idx   int
+}
+
+// sortByAngle sorts keyed by angle and returns its indices in that order,
+// freshly allocated. Each angle is computed once, not once per comparison.
+func sortByAngle(keyed []angleKeyed) []int {
+	sort.Slice(keyed, func(i, j int) bool { return keyed[i].angle < keyed[j].angle })
+	out := make([]int, len(keyed))
+	for k := range keyed {
+		out[k] = keyed[k].idx
+	}
+	return out
 }
 
 // NearestCell returns the index of the cell whose generator point is

@@ -234,6 +234,16 @@ func TestCellVertexOrderIsCCW(t *testing.T) {
 		if math.Abs(a-c.Area)/c.Area > 1e-9 {
 			t.Fatalf("cell %d: stored area %g != recomputed %g", ci, c.Area, a)
 		}
+		// The edges are sorted the same way. Their midpoints lie on the
+		// cell's boundary, so in CCW order they enclose less than the cell;
+		// clockwise, the area formula returns the sphere minus that.
+		mids := make([]Vec3, len(c.Edges))
+		for k, ei := range c.Edges {
+			mids[k] = m.Edges[ei].Midpoint
+		}
+		if a := SphericalPolygonArea(mids, m.Radius); a <= 0 || a >= c.Area {
+			t.Fatalf("cell %d: edge order not CCW (midpoint polygon area %g, cell area %g)", ci, a, c.Area)
+		}
 	}
 }
 

@@ -89,16 +89,10 @@ type Model struct {
 	// +Tangent direction from Vertices[0]; used by the del2 operator.
 	vertexTangentSign []float64
 
-	// recon[c] reconstructs the tangent velocity vector at cell c from the
-	// normal velocities on its edges: V = sum_k recon[c][k] * u(Edges[k]),
-	// where recon[c][k] is a 3-vector (least-squares pseudo-inverse).
-	recon [][]mesh.Vec3
-
-	// gradWeights[c][k] are least-squares gradient weights: the tangent-
-	// plane gradient of a cell field F at cell c is
-	// sum_k gradWeights[c][k] * (F[Neighbors[k]] - F[c]) in the local
-	// (east, north) basis. Each weight is a 2-vector (gx, gy).
-	gradWeights [][][2]float64
+	// ops are the flat operator tables the hot loops read (operators.go):
+	// cell/vertex/edge connectivity and metrics, the velocity
+	// reconstruction, and the gradient weights.
+	ops operators
 
 	// cellEast/cellNorth are the per-cell local tangent bases, precomputed
 	// lazily for the Okubo-Weiss loops (see ensureOkubo).
@@ -121,7 +115,8 @@ type Model struct {
 }
 
 // NewModel builds a model on m with the given configuration, precomputing
-// the reconstruction and gradient operators.
+// the operator tables, reconstruction and gradient operators. It returns an
+// error for a mesh too large for the tables' int32 indices.
 func NewModel(m *mesh.Mesh, cfg Config) (*Model, error) {
 	if m == nil || m.NCells() == 0 {
 		return nil, fmt.Errorf("ocean: nil or empty mesh")
@@ -157,6 +152,9 @@ func NewModel(m *mesh.Mesh, cfg Config) (*Model, error) {
 		md.coriolisVertex[vi] = 2 * omega * math.Sin(lat)
 	}
 
+	if err := md.buildOperators(); err != nil {
+		return nil, err
+	}
 	if err := md.buildReconstruction(); err != nil {
 		return nil, err
 	}
@@ -197,16 +195,12 @@ func (md *Model) initGrains() {
 // we store one 3-vector of coefficients per edge.
 func (md *Model) buildReconstruction() error {
 	m := md.Mesh
-	md.recon = make([][]mesh.Vec3, m.NCells())
-	// One flat array backs every cell's coefficient slice, and the normal
-	// equations reuse one matrix, factorization, and solve buffer across
-	// cells: model construction dominates a short coupled run's allocation
-	// profile, so the builder is as reuse-conscious as the hot path.
-	total := 0
-	for ci := range m.Cells {
-		total += len(m.Cells[ci].Edges)
-	}
-	flat := make([]mesh.Vec3, total)
+	// The coefficients are stored flat, aligned with the cell-edge table,
+	// and the normal equations reuse one matrix, factorization, and solve
+	// buffer across cells: model construction dominates a short coupled
+	// run's allocation profile, so the builder is as reuse-conscious as the
+	// hot path.
+	md.ops.recon = make([]mesh.Vec3, len(md.ops.cellEdges))
 	ata := linalg.NewMatrix(3, 3)
 	var f linalg.LU
 	var rows []mesh.Vec3
@@ -232,8 +226,7 @@ func (md *Model) buildReconstruction() error {
 		if err := f.Refactor(ata); err != nil {
 			return fmt.Errorf("ocean: reconstruction at cell %d: %w", ci, err)
 		}
-		coeffs := flat[:ne:ne]
-		flat = flat[ne:]
+		coeffs := md.ops.recon[md.ops.cellStart[ci]:md.ops.cellStart[ci+1]]
 		for k := 0; k < ne; k++ {
 			// Column of the pseudo-inverse for edge k: solve (A^T A) x = n_k.
 			n := rows[k]
@@ -243,7 +236,6 @@ func (md *Model) buildReconstruction() error {
 			}
 			coeffs[k] = mesh.Vec3{x[0], x[1], x[2]}
 		}
-		md.recon[ci] = coeffs
 	}
 	return nil
 }
@@ -252,14 +244,10 @@ func (md *Model) buildReconstruction() error {
 // for cell-centered fields, used by the Okubo-Weiss diagnostic.
 func (md *Model) buildGradients() error {
 	m := md.Mesh
-	md.gradWeights = make([][][2]float64, m.NCells())
-	// As in buildReconstruction: one flat array backs every cell's weight
-	// slice, and the displacement scratch is reused across cells.
-	total := 0
-	for ci := range m.Cells {
-		total += len(m.Cells[ci].Neighbors)
-	}
-	flat := make([][2]float64, total)
+	// As in buildReconstruction: the weights are stored flat, aligned with
+	// the cell-edge table (neighbor k lies across edge k), and the
+	// displacement scratch is reused across cells.
+	md.ops.gradWeights = make([][2]float64, len(md.ops.cellEdges))
 	var dx [][2]float64
 	for ci := range m.Cells {
 		c := &m.Cells[ci]
@@ -281,8 +269,7 @@ func (md *Model) buildGradients() error {
 		if det == 0 {
 			return fmt.Errorf("ocean: degenerate gradient stencil at cell %d", ci)
 		}
-		w := flat[:len(dx):len(dx)]
-		flat = flat[len(dx):]
+		w := md.ops.gradWeights[md.ops.cellStart[ci]:md.ops.cellStart[ci+1]]
 		for k := range dx {
 			x, y := dx[k][0], dx[k][1]
 			// (X^T X)^{-1} X^T row by row.
@@ -291,7 +278,6 @@ func (md *Model) buildGradients() error {
 				(sxx*y - sxy*x) / det,
 			}
 		}
-		md.gradWeights[ci] = w
 	}
 	return nil
 }

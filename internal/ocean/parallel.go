@@ -6,17 +6,22 @@ import (
 	"insituviz/internal/workpool"
 )
 
-// Approximate per-index loop-body costs (ns on a contemporary core), used
-// to derive each loop's grain size from the pool's measured fan-out
-// overhead. They only need to be right to within a small factor: the grain
-// is clamped, and chunk geometry never affects results (disjoint writes).
+// Approximate per-index loop-body costs (ns), used to derive each loop's
+// grain size from the pool's measured fan-out overhead. They only need to
+// be right to within a small factor: the grain is clamped, and chunk
+// geometry never affects results (disjoint writes). Measured on the
+// flat-table kernels (scratch.go) as the lower quartile of per-call
+// ns/index over 60 serial RK4 steps plus Okubo-Weiss at 10242 cells, on a
+// 2-vCPU Xeon VM; the quartiles of repeated runs spread about 1.5x on that
+// shared host. At the pool's 500 ns overhead floor diagVerts and
+// owProject get a grain of 285 and the others grainMin.
 const (
 	costDiagCells  = 45.0
-	costDiagVerts  = 10.0
-	costContinuity = 20.0
-	costMomentum   = 55.0
-	costOWProject  = 8.0
-	costOWGradient = 35.0
+	costDiagVerts  = 7.0
+	costContinuity = 37.0
+	costMomentum   = 10.0
+	costOWProject  = 7.0
+	costOWGradient = 33.0
 )
 
 // Grain clamp bounds and the multiple of the pool's fan-out overhead a

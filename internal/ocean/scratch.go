@@ -83,96 +83,124 @@ func (md *Model) ensureOkubo() {
 }
 
 // initLoopBindings creates the bound loop bodies. Called once from
-// NewModel, after the reconstruction and gradient operators are built.
+// NewModel, after the operator tables are built.
+//
+// The bodies read the flat tables (operators.go) and write every mesh.Vec3
+// operation as scalars: Vec3 is an array, and the compiler keeps arrays of
+// more than one element in memory, so each Add/Scale/Dot would round-trip
+// through the stack. Each scalar expression keeps the operand order of the
+// Vec3 method it replaces, and a product that was stored into a Vec3 is
+// wrapped in float64(...), which the spec says rounds it and so prevents
+// fusion into a multiply-add: results are bit-identical to the Vec3 form
+// (reference_test.go).
 func (md *Model) initLoopBindings() {
 	// Diagnostics: divergence, kinetic energy, and reconstructed velocity
 	// at cells.
 	md.sc.diagCells = func(lo, hi int) {
-		m, s, d := md.Mesh, md.sc.loopS, md.sc.loopD
+		op, s, d := &md.ops, md.sc.loopS, md.sc.loopD
+		edges, un := op.edges, s.NormalVelocity
 		for ci := lo; ci < hi; ci++ {
-			c := &m.Cells[ci]
-			var div, ke float64
-			var vel mesh.Vec3
-			for k, ei := range c.Edges {
-				e := &m.Edges[ei]
-				u := s.NormalVelocity[ei]
-				div += float64(c.EdgeSigns[k]) * u * e.Dv
-				ke += e.Dc * e.Dv * 0.25 * u * u
-				vel = vel.Add(md.recon[ci][k].Scale(u))
+			j0, j1 := op.cellStart[ci], op.cellStart[ci+1]
+			ce := op.cellEdges[j0:j1]
+			sg := op.cellSigns[j0:j1]
+			rc := op.recon[j0:j1]
+			// Same lengths; reslicing to len(ce) drops the bounds checks.
+			sg, rc = sg[:len(ce)], rc[:len(ce)]
+			var div, ke, vx, vy, vz float64
+			for k, ei := range ce {
+				e := &edges[ei]
+				u := un[ei]
+				div += float64(sg[k]) * u * e.dv
+				ke += e.dc * e.dv * 0.25 * u * u
+				r := &rc[k]
+				vx += float64(u * r[0])
+				vy += float64(u * r[1])
+				vz += float64(u * r[2])
 			}
-			d.Divergence[ci] = div / c.Area
-			d.KineticEnergy[ci] = ke / c.Area
-			d.CellVelocity[ci] = vel
+			area := op.cellArea[ci]
+			d.Divergence[ci] = div / area
+			d.KineticEnergy[ci] = ke / area
+			d.CellVelocity[ci] = mesh.Vec3{vx, vy, vz}
 		}
 	}
 
 	// Diagnostics: relative vorticity at dual vertices.
 	md.sc.diagVerts = func(lo, hi int) {
-		m, s, d := md.Mesh, md.sc.loopS, md.sc.loopD
+		op, s, d := &md.ops, md.sc.loopS, md.sc.loopD
+		edges, un := op.edges, s.NormalVelocity
 		for vi := lo; vi < hi; vi++ {
-			v := &m.Vertices[vi]
+			v := &op.verts[vi]
 			var circ float64
-			for k, ei := range v.Edges {
-				circ += float64(v.EdgeSigns[k]) * s.NormalVelocity[ei] * m.Edges[ei].Dc
+			for k, ei := range v.edges {
+				circ += float64(v.signs[k]) * un[ei] * edges[ei].dc
 			}
-			d.Vorticity[vi] = circ / v.Area
+			d.Vorticity[vi] = circ / v.area
 		}
 	}
 
 	// Continuity equation: dh/dt = -div(h u).
 	md.sc.continuity = func(lo, hi int) {
-		m, s, out := md.Mesh, md.sc.loopS, md.sc.loopOut
+		op, s, out := &md.ops, md.sc.loopS, md.sc.loopOut
+		edges, un, h := op.edges, s.NormalVelocity, s.Thickness
 		for ci := lo; ci < hi; ci++ {
-			c := &m.Cells[ci]
+			j0, j1 := op.cellStart[ci], op.cellStart[ci+1]
+			ce := op.cellEdges[j0:j1]
+			sg := op.cellSigns[j0:j1]
+			sg = sg[:len(ce)]
 			var flux float64
-			for k, ei := range c.Edges {
-				e := &m.Edges[ei]
-				he := 0.5 * (s.Thickness[e.Cells[0]] + s.Thickness[e.Cells[1]])
-				flux += float64(c.EdgeSigns[k]) * s.NormalVelocity[ei] * he * e.Dv
+			for k, ei := range ce {
+				e := &edges[ei]
+				he := 0.5 * (h[e.cells[0]] + h[e.cells[1]])
+				flux += float64(sg[k]) * un[ei] * he * e.dv
 			}
-			out.Thickness[ci] = -flux / c.Area
+			out.Thickness[ci] = -flux / op.cellArea[ci]
 		}
 	}
 
 	// Momentum equation: du/dt = q u_perp - grad_n(K + g h) + nu del2(u).
 	md.sc.momentum = func(lo, hi int) {
-		m, s, out, d := md.Mesh, md.sc.loopS, md.sc.loopOut, md.sc.loopD
+		s, out, d := md.sc.loopS, md.sc.loopOut, md.sc.loopD
+		edges, un, h := md.ops.edges, s.NormalVelocity, s.Thickness
+		vort, ke, div, cv := d.Vorticity, d.KineticEnergy, d.Divergence, d.CellVelocity
 		for ei := lo; ei < hi; ei++ {
-			e := &m.Edges[ei]
-			c0, c1 := e.Cells[0], e.Cells[1]
-			v0, v1 := e.Vertices[0], e.Vertices[1]
+			e := &edges[ei]
+			c0, c1 := e.cells[0], e.cells[1]
+			v0, v1 := e.verts[0], e.verts[1]
 
 			// Absolute vorticity at the edge.
-			zeta := 0.5 * (d.Vorticity[v0] + d.Vorticity[v1])
+			zeta := 0.5 * (vort[v0] + vort[v1])
 			q := md.coriolisEdge[ei] + zeta
 
 			// Tangential velocity from the averaged cell reconstructions.
-			vbar := d.CellVelocity[c0].Add(d.CellVelocity[c1]).Scale(0.5)
-			uperp := vbar.Dot(e.Tangent)
+			cv0, cv1 := &cv[c0], &cv[c1]
+			vbx := float64(0.5 * (cv0[0] + cv1[0]))
+			vby := float64(0.5 * (cv0[1] + cv1[1]))
+			vbz := float64(0.5 * (cv0[2] + cv1[2]))
+			uperp := vbx*e.tangent[0] + vby*e.tangent[1] + vbz*e.tangent[2]
 
 			// Bernoulli gradient along the normal; with topography the
 			// pressure term uses the free-surface height h+b.
-			eta0, eta1 := s.Thickness[c0], s.Thickness[c1]
+			eta0, eta1 := h[c0], h[c1]
 			if md.topography != nil {
 				eta0 += md.topography[c0]
 				eta1 += md.topography[c1]
 			}
-			bern0 := d.KineticEnergy[c0] + Gravity*eta0
-			bern1 := d.KineticEnergy[c1] + Gravity*eta1
-			grad := (bern1 - bern0) / e.Dc
+			bern0 := ke[c0] + Gravity*eta0
+			bern1 := ke[c1] + Gravity*eta1
+			grad := (bern1 - bern0) / e.dc
 
 			tend := q*uperp - grad
 			if md.windAccel != nil {
 				tend += md.windAccel[ei]
 			}
 			if md.bottomDrag > 0 {
-				tend -= md.bottomDrag * s.NormalVelocity[ei]
+				tend -= md.bottomDrag * un[ei]
 			}
 
 			if md.Viscosity > 0 {
 				// del2(u) = grad_n(div) - grad_t(zeta).
-				lap := (d.Divergence[c1]-d.Divergence[c0])/e.Dc -
-					md.vertexTangentSign[ei]*(d.Vorticity[v1]-d.Vorticity[v0])/e.Dv
+				lap := (div[c1]-div[c0])/e.dc -
+					md.vertexTangentSign[ei]*(vort[v1]-vort[v0])/e.dv
 				tend += md.Viscosity * lap
 			}
 			out.NormalVelocity[ei] = tend
@@ -182,32 +210,42 @@ func (md *Model) initLoopBindings() {
 	// Okubo-Weiss phase 1: each cell's reconstructed velocity in its own
 	// local basis.
 	md.sc.owProject = func(lo, hi int) {
-		d := md.sc.loopD
+		cv := md.sc.loopD.CellVelocity
 		for ci := lo; ci < hi; ci++ {
-			vel := d.CellVelocity[ci]
-			md.sc.owComp[ci] = uvComp{u: vel.Dot(md.cellEast[ci]), v: vel.Dot(md.cellNorth[ci])}
+			vel, east, north := &cv[ci], &md.cellEast[ci], &md.cellNorth[ci]
+			md.sc.owComp[ci] = uvComp{
+				u: vel[0]*east[0] + vel[1]*east[1] + vel[2]*east[2],
+				v: vel[0]*north[0] + vel[1]*north[1] + vel[2]*north[2],
+			}
 		}
 	}
 
 	// Okubo-Weiss phase 2: least-squares velocity gradients and
 	// W = s_n^2 + s_s^2 - omega^2.
 	md.sc.owGradient = func(lo, hi int) {
-		m, d, w := md.Mesh, md.sc.loopD, md.sc.loopOW
-		comp := md.sc.owComp
+		op, cv, w := &md.ops, md.sc.loopD.CellVelocity, md.sc.loopOW
+		edges, comp := op.edges, md.sc.owComp
 		for ci := lo; ci < hi; ci++ {
-			c := &m.Cells[ci]
-			east, north := md.cellEast[ci], md.cellNorth[ci]
+			j0, j1 := op.cellStart[ci], op.cellStart[ci+1]
+			ce := op.cellEdges[j0:j1]
+			gws := op.gradWeights[j0:j1]
+			gws = gws[:len(ce)]
+			east, north := &md.cellEast[ci], &md.cellNorth[ci]
+			ex, ey, ez := east[0], east[1], east[2]
+			nx, ny, nz := north[0], north[1], north[2]
 			// Express the center and neighbor velocities in the center
 			// cell's basis; for neighbors the 3D tangent vector is
 			// projected, which is accurate to O(spacing/R).
 			u0 := comp[ci].u
 			v0 := comp[ci].v
 			var ux, uy, vx, vy float64
-			for k, nb := range c.Neighbors {
-				vel := d.CellVelocity[nb]
-				du := vel.Dot(east) - u0
-				dv := vel.Dot(north) - v0
-				gw := md.gradWeights[ci][k]
+			for k, ei := range ce {
+				// The neighbor is the edge's other cell.
+				e := &edges[ei]
+				vel := &cv[e.cells[0]+e.cells[1]-int32(ci)]
+				du := vel[0]*ex + vel[1]*ey + vel[2]*ez - u0
+				dv := vel[0]*nx + vel[1]*ny + vel[2]*nz - v0
+				gw := &gws[k]
 				ux += gw[0] * du
 				uy += gw[1] * du
 				vx += gw[0] * dv
